@@ -308,11 +308,7 @@ pub fn omp_with_known_mode(
         .map(|&(i, z)| RecoveredOutlier { index: i, value: z + mode, deviation: z })
         .collect();
     outliers.sort_by(|a, b| {
-        b.deviation
-            .abs()
-            .partial_cmp(&a.deviation.abs())
-            .expect("finite deviations")
-            .then(a.index.cmp(&b.index))
+        b.deviation.abs().total_cmp(&a.deviation.abs()).then(a.index.cmp(&b.index))
     });
     let residual_trace = inner.trace.iter().map(|t| t.residual_norm).collect();
     Ok(BompResult {
@@ -356,11 +352,7 @@ fn assemble(
         .map(|&(i, z)| RecoveredOutlier { index: i, value: z + mode, deviation: z })
         .collect();
     outliers.sort_by(|a, b| {
-        b.deviation
-            .abs()
-            .partial_cmp(&a.deviation.abs())
-            .expect("finite deviations")
-            .then(a.index.cmp(&b.index))
+        b.deviation.abs().total_cmp(&a.deviation.abs()).then(a.index.cmp(&b.index))
     });
 
     // Per-iteration mode estimate z₀/√N. Available whenever the inner OMP

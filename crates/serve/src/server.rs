@@ -1123,9 +1123,10 @@ fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Messag
             reply
         }
         Dispatch::Recover(job) => {
-            // BOMP and the Φ0 materialization run outside every lock: a
-            // recovery must never stall other shards' (or this shard's)
-            // ingest. It does occupy this worker, which is the same
+            // BOMP and any Φ0 materialization run outside every store
+            // lock (a materialization holds only the dense cache's lock,
+            // which no other path takes): a recovery must never stall
+            // other shards' (or this shard's) ingest. It does occupy this worker, which is the same
             // trade the thread-per-connection engine made per handler.
             let (session, epoch) = job.target();
             let recover_started = Instant::now();

@@ -31,13 +31,13 @@ use cso_distributed::wire::{
 };
 use cso_distributed::{CsProtocol, SketchAggregator};
 use cso_exec::ExecConfig;
-use cso_linalg::Vector;
+use cso_linalg::{ColMatrix, Vector};
 use cso_obs::Recorder;
 use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Typed reject codes carried in [`Message::Reject`] frames. Wire values
 /// are stable: new codes may be appended, existing ones never renumbered.
@@ -67,7 +67,8 @@ pub enum RejectCode {
     NotSealed = 10,
     /// A recover arrived for an epoch with zero contributions.
     EmptyEpoch = 11,
-    /// A sketch payload was malformed (wrong length for the epoch's `M`).
+    /// A sketch payload was malformed: wrong length for the epoch's `M`,
+    /// or a NaN or ±Inf entry.
     BadSketch = 12,
     /// The epoch configuration itself was invalid (e.g. `M > N`).
     BadSpec = 13,
@@ -266,6 +267,21 @@ impl Epoch {
             EpochState::Sealed { nodes, .. } => *nodes,
         }
     }
+
+    /// Whether the epoch's work is done, making it evictable: it was
+    /// recovered, or (on a relay) it sealed and its pre-sum was acked
+    /// upstream. A relay never recovers, so without the second case its
+    /// epochs would pin their sessions forever.
+    fn finished(&self) -> bool {
+        self.phase == EpochPhase::Recovered || (self.phase == EpochPhase::Sealed && self.forwarded)
+    }
+}
+
+/// Decodes a sketch payload, or `None` when any entry is NaN or ±Inf: one
+/// non-finite value would poison the epoch's whole summed measurement.
+fn decode_finite(payload: &EncodedSketch) -> Option<Vector> {
+    let sketch = quantize::decode(payload);
+    sketch.iter().all(|v| v.is_finite()).then_some(sketch)
 }
 
 // ---- lock-free ingest pad ---------------------------------------------
@@ -343,7 +359,8 @@ pub enum PadIngest<'a> {
     Duplicate,
     /// The sketch's seed disagrees with the epoch's.
     SeedMismatch,
-    /// The payload does not decode to an `M`-length sketch.
+    /// The payload does not decode to an `M`-length sketch of finite
+    /// values.
     BadSketch,
     /// The pad cannot take this sketch lock-free — sealed, paused for a
     /// snapshot, or the node id is beyond the pad's slot range. The caller
@@ -418,10 +435,9 @@ impl IngestPad {
             self.duplicates.fetch_add(1, Ordering::Relaxed);
             return PadIngest::Duplicate;
         }
-        let sketch = quantize::decode(payload);
-        if sketch.len() != self.m {
+        let Some(sketch) = decode_finite(payload).filter(|s| s.len() == self.m) else {
             return PadIngest::BadSketch;
-        }
+        };
         match slot.state.compare_exchange(
             SLOT_EMPTY,
             SLOT_BUSY,
@@ -525,8 +541,9 @@ pub struct StoreLimits {
     /// Live sessions the store holds before `OpenEpoch` of a new session
     /// is rejected (finished sessions are evicted to make room first).
     pub max_sessions: usize,
-    /// Live epochs per session before a new epoch is rejected (recovered
-    /// epochs are evicted to make room first).
+    /// Live epochs per session before a new epoch is rejected (finished
+    /// epochs — recovered, or sealed and forwarded upstream by a relay —
+    /// are evicted to make room first).
     pub max_epochs_per_session: usize,
     /// Slot count of the lock-free [`IngestPad`] per epoch (bounded by the
     /// epoch's `n`). Nodes with ids past the pad take the store-locked
@@ -799,9 +816,56 @@ pub enum Dispatch {
     Recover(RecoverJob),
 }
 
+/// The server's one materialized dense `Φ0`, kept between recoveries.
+///
+/// Every epoch of a deployment usually shares one `(M, N, seed)`, so
+/// rebuilding the `m × n` matrix per recovery repeats the same work each
+/// window. One cache serves a whole server: [`SessionStore::split_by_session`]
+/// hands every shard the same `Arc`, and each [`RecoverJob`] carries it out
+/// of the store lock. It holds a single entry keyed by the full
+/// [`MeasurementSpec`], so its footprint is one matrix — at most
+/// [`StoreLimits::max_matrix_bytes`], which `OpenEpoch` already enforces.
+/// Matrix-free backends never touch it.
+#[derive(Default)]
+struct DenseCache {
+    entry: Mutex<Option<(MeasurementSpec, Arc<ColMatrix>)>>,
+}
+
+impl DenseCache {
+    /// `spec`'s materialized matrix. On a miss the old entry is dropped
+    /// before the new one is built, both under the cache lock: concurrent
+    /// recoveries of one spec build it once, and the cache never holds two
+    /// matrices (a job still running on the old one keeps its own `Arc`).
+    fn matrix(&self, spec: &MeasurementSpec) -> Arc<ColMatrix> {
+        let mut entry = self.entry.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((cached, phi0)) = &*entry {
+            if cached == spec {
+                return Arc::clone(phi0);
+            }
+        }
+        *entry = None;
+        let phi0 = Arc::new(spec.materialize());
+        *entry = Some((*spec, Arc::clone(&phi0)));
+        phi0
+    }
+
+    /// The spec of the cached matrix, if any.
+    #[cfg(test)]
+    fn cached_spec(&self) -> Option<MeasurementSpec> {
+        self.entry.lock().unwrap_or_else(PoisonError::into_inner).as_ref().map(|(s, _)| *s)
+    }
+}
+
+impl fmt::Debug for DenseCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let entry = self.entry.lock().unwrap_or_else(PoisonError::into_inner);
+        f.debug_struct("DenseCache").field("spec", &entry.as_ref().map(|(s, _)| s)).finish()
+    }
+}
+
 /// Everything a recovery needs, detached from the store: the spec, the
-/// canonical measurement (an `M`-length clone), and the resolved BOMP
-/// configuration.
+/// canonical measurement (an `M`-length clone), the resolved BOMP
+/// configuration, and the server's dense-matrix cache.
 #[derive(Debug)]
 pub struct RecoverJob {
     session: u64,
@@ -813,6 +877,7 @@ pub struct RecoverJob {
     nodes: u64,
     duplicates: u64,
     config: BompConfig,
+    dense: Arc<DenseCache>,
 }
 
 impl RecoverJob {
@@ -822,14 +887,15 @@ impl RecoverJob {
         (self.session, self.epoch)
     }
 
-    /// Runs the recovery. A dense-backend epoch materializes `Φ0`
-    /// transiently (dropped with the job, so the store never retains the
-    /// dense matrix) and runs the exact seed path; matrix-free backends
-    /// rebuild the operator from the journaled descriptor and recover
-    /// without ever materializing.
+    /// Runs the recovery. A dense-backend epoch recovers against the
+    /// server's one cached `Φ0` (materialized on the first recovery of its
+    /// spec, then kept: one `m·n·8`-byte matrix, at most
+    /// `max_matrix_bytes`) and runs the exact seed path; matrix-free
+    /// backends rebuild the operator from the journaled descriptor and
+    /// recover without ever materializing.
     pub fn run(self) -> (Message, Option<RecoveredEpoch>) {
         let result = if self.backend == SketchBackend::dense() {
-            let phi0 = self.spec.materialize();
+            let phi0 = self.dense.matrix(&self.spec);
             bomp_with_matrix(&phi0, &self.y, &self.config)
         } else {
             match self.backend.build(self.spec.m, self.spec.n, self.spec.seed) {
@@ -862,6 +928,8 @@ impl RecoverJob {
 pub struct SessionStore {
     sessions: BTreeMap<u64, Session>,
     limits: StoreLimits,
+    /// Shared with every shard split off this store; see [`DenseCache`].
+    dense: Arc<DenseCache>,
 }
 
 impl SessionStore {
@@ -872,7 +940,7 @@ impl SessionStore {
 
     /// An empty store with the given resource caps.
     pub fn with_limits(limits: StoreLimits) -> Self {
-        SessionStore { sessions: BTreeMap::new(), limits }
+        SessionStore { sessions: BTreeMap::new(), limits, dense: Arc::default() }
     }
 
     /// Number of live sessions.
@@ -1024,7 +1092,7 @@ impl SessionStore {
         }
         let limit = self.limits.max_epochs_per_session;
         let entry = self.sessions.entry(session).or_default();
-        if entry.epochs.len() >= limit && !evict_recovered_epoch(entry, stats) {
+        if entry.epochs.len() >= limit && !evict_finished_epoch(entry, stats) {
             return (reject(RejectCode::StoreFull), Effect::None);
         }
         entry.epochs.insert(
@@ -1162,13 +1230,14 @@ impl SessionStore {
         Message::Status { epoch, phase: ep.phase.as_u8(), nodes: ep.node_count() }
     }
 
-    /// Evicts the lowest-id session whose epochs are all recovered (or
-    /// that is empty). Sessions mid-flight are never touched.
+    /// Evicts the lowest-id session whose epochs are all
+    /// [finished](Epoch::finished) (or that is empty). Sessions mid-flight
+    /// are never touched.
     fn evict_finished_session(&mut self, stats: &mut StoreStats) -> bool {
         let id = self
             .sessions
             .iter()
-            .find(|(_, s)| s.epochs.values().all(|e| e.phase == EpochPhase::Recovered))
+            .find(|(_, s)| s.epochs.values().all(Epoch::finished))
             .map(|(id, _)| *id);
         match id {
             Some(id) => {
@@ -1237,7 +1306,9 @@ impl SessionStore {
             stats.add("serve.sketches_duplicate", 1);
             return (Message::Ack { of: TAG_SKETCH, info: 1 }, Effect::None);
         }
-        let sketch = quantize::decode(payload);
+        let Some(sketch) = decode_finite(payload) else {
+            return (reject(RejectCode::BadSketch), Effect::None);
+        };
         if agg.join(node as usize, sketch).is_err() {
             return (reject(RejectCode::BadSketch), Effect::None);
         }
@@ -1304,6 +1375,7 @@ impl SessionStore {
         k: u32,
         policy: &RecoveryPolicy,
     ) -> Result<RecoverJob, RejectCode> {
+        let dense = Arc::clone(&self.dense);
         let ep = self.epoch_mut(session, epoch)?;
         let EpochState::Sealed { spec, y, nodes } = &ep.state else {
             return Err(RejectCode::NotSealed);
@@ -1321,6 +1393,7 @@ impl SessionStore {
             nodes: *nodes,
             duplicates: ep.duplicates,
             config: policy.effective(spec.m, ep.seed, k),
+            dense,
         })
     }
 
@@ -1405,14 +1478,20 @@ impl SessionStore {
     // ---- sharding ------------------------------------------------------
 
     /// Partitions the store into `shards` disjoint stores (shard index =
-    /// `session & (shards − 1)`; `shards` must be a power of two). The
-    /// inverse view for durability is
+    /// `session & (shards − 1)`; `shards` must be a power of two) that
+    /// share this store's dense-matrix cache, so a server keeps one `Φ0`
+    /// however many shards it runs. The inverse view for durability is
     /// [`SessionStore::merged_snapshot_bytes`].
     pub fn split_by_session(mut self, shards: usize) -> Vec<SessionStore> {
         assert!(shards.is_power_of_two(), "shard count must be a power of two");
         let mask = (shards - 1) as u64;
-        let mut out: Vec<SessionStore> =
-            (0..shards).map(|_| SessionStore::with_limits(self.limits)).collect();
+        let mut out: Vec<SessionStore> = (0..shards)
+            .map(|_| SessionStore {
+                sessions: BTreeMap::new(),
+                limits: self.limits,
+                dense: Arc::clone(&self.dense),
+            })
+            .collect();
         while let Some((sid, sess)) = self.sessions.pop_first() {
             out[(sid & mask) as usize].sessions.insert(sid, sess);
         }
@@ -1430,9 +1509,7 @@ impl SessionStore {
                 all.insert(*sid, sess);
             }
         }
-        let mut out = Vec::new();
-        serialize_sessions(&mut out, all.len(), all.iter().map(|(sid, s)| (*sid, *s)));
-        out
+        serialize_sessions(all.len(), all.iter().map(|(sid, s)| (*sid, *s)))
     }
 
     // ---- journal replay ------------------------------------------------
@@ -1615,13 +1692,7 @@ impl SessionStore {
     /// header, not here. Ingest pads are *not* serialized — fold them
     /// first via [`SessionStore::pause_and_drain_pads`].
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        serialize_sessions(
-            &mut out,
-            self.sessions.len(),
-            self.sessions.iter().map(|(sid, s)| (*sid, s)),
-        );
-        out
+        serialize_sessions(self.sessions.len(), self.sessions.iter().map(|(sid, s)| (*sid, s)))
     }
 
     /// Rebuilds a store from [`SessionStore::snapshot_bytes`] output.
@@ -1722,8 +1793,38 @@ pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// Shared serialization body for [`SessionStore::snapshot_bytes`] and
 /// [`SessionStore::merged_snapshot_bytes`]: `count` sessions, each
 /// `(sid, session)` in the order the iterator yields them (callers pass
-/// `BTreeMap` iterators, so the output is deterministic).
+/// `BTreeMap` iterators, so the output is deterministic). The buffer is
+/// allocated once at its final size — a snapshot is the largest transient
+/// allocation of an ingest-heavy server, and growth by doubling would
+/// hold up to three times its size at the last reallocation.
 fn serialize_sessions<'a>(
+    count: usize,
+    sessions: impl Iterator<Item = (u64, &'a Session)> + Clone,
+) -> Vec<u8> {
+    let len = 4 + sessions.clone().map(|(_, sess)| session_len(sess)).sum::<usize>();
+    let mut out = Vec::with_capacity(len);
+    write_sessions(&mut out, count, sessions);
+    debug_assert_eq!(out.len(), len, "snapshot size accounting");
+    out
+}
+
+/// Serialized size of one session in [`write_sessions`]' format.
+fn session_len(sess: &Session) -> usize {
+    let epochs = sess.epochs.values().map(|ep| {
+        let topology = ep.topology.as_ref().map_or(0, |t| 8 + 4 + 20 * t.regions.len());
+        let state = match &ep.state {
+            EpochState::Ingest(agg, _) => 4 + agg.node_count() * (8 + 8 * agg.spec().m),
+            EpochState::Sealed { y, .. } => 8 + 8 * y.len(),
+        };
+        // id, seed, op kind + param, phase, duplicates, forwarded, the
+        // topology flag, then the state tag and its (m, n, seed) spec.
+        8 + 8 + 9 + 1 + 8 + 1 + 1 + topology + 1 + 20 + state
+    });
+    8 + 4 + epochs.sum::<usize>()
+}
+
+/// Appends the snapshot body to `out`; see [`serialize_sessions`].
+fn write_sessions<'a>(
     out: &mut Vec<u8>,
     count: usize,
     sessions: impl Iterator<Item = (u64, &'a Session)>,
@@ -1819,10 +1920,11 @@ impl SnapReader<'_> {
     }
 }
 
-/// Evicts the lowest-id recovered epoch of `sess` to make room for a new
-/// one. Ingesting and sealed-but-unrecovered epochs are never touched.
-fn evict_recovered_epoch(sess: &mut Session, stats: &mut StoreStats) -> bool {
-    let id = sess.epochs.iter().find(|(_, e)| e.phase == EpochPhase::Recovered).map(|(id, _)| *id);
+/// Evicts the lowest-id [finished](Epoch::finished) epoch of `sess` to
+/// make room for a new one. Ingesting epochs, and sealed ones still
+/// awaiting recovery or an upstream ack, are never touched.
+fn evict_finished_epoch(sess: &mut Session, stats: &mut StoreStats) -> bool {
+    let id = sess.epochs.iter().find(|(_, e)| e.finished()).map(|(id, _)| *id);
     match id {
         Some(id) => {
             sess.epochs.remove(&id);
@@ -2203,6 +2305,7 @@ mod tests {
             assert!((mode - 100.0).abs() < 1.0, "kind {op_kind}: mode {mode}");
             assert_eq!(outliers.len(), 1, "kind {op_kind}");
             assert_eq!(outliers[0].0, 17, "kind {op_kind}: wrong outlier key");
+            assert_eq!(fx.store.dense.cached_spec(), None, "kind {op_kind} materialized Φ0");
         }
     }
 
@@ -2427,5 +2530,264 @@ mod tests {
         fresh.replay_open(1, 0, M, N, SEED, 0, 0).unwrap();
         fresh.replay_recovered(1, 0);
         assert_eq!(fresh.epoch_phase(1, 0), Some(EpochPhase::Ingest));
+    }
+
+    /// Node `node`'s slice of a planted signal — mode 50 everywhere, one
+    /// outlier at key 17 on node 0 — measured with `spec`.
+    fn planted_sketch(spec: &MeasurementSpec, node: u32) -> Vector {
+        let mut slice = vec![50.0; spec.n];
+        if node == 0 {
+            slice[17] += 4000.0;
+        }
+        spec.measure_dense(&slice).expect("sketch")
+    }
+
+    /// Opens `(session, epoch)` under the dense `spec`, ingests three
+    /// planted nodes and seals; returns the sealed measurement.
+    fn sealed_dense_epoch(
+        store: &mut SessionStore,
+        session: u64,
+        epoch: u64,
+        spec: &MeasurementSpec,
+    ) -> Vector {
+        let mut conn = ConnState::new();
+        let mut send = |msg: &Message| match store.dispatch(
+            &mut conn,
+            msg,
+            &RecoveryPolicy::default(),
+            &mut StoreStats::new(),
+        ) {
+            Dispatch::Reply(reply, effect) => (reply, effect),
+            Dispatch::Recover(_) => panic!("unexpected recovery"),
+        };
+        let (m, n, seed) = (spec.m as u32, spec.n as u64, spec.seed);
+        let open = Message::OpenEpoch { session, epoch, m, n, seed, op_kind: 0, op_param: 0 };
+        assert!(matches!(send(&open).0, Message::Ack { .. }));
+        for node in 0..3 {
+            let payload = quantize::encode(&planted_sketch(spec, node), SketchEncoding::F64);
+            assert!(matches!(
+                send(&Message::Sketch { node, seed, payload }).0,
+                Message::Ack { .. }
+            ));
+        }
+        match send(&Message::SealEpoch { session, epoch }).1 {
+            Effect::Sealed { y, .. } => y,
+            other => panic!("seal applied {other:?}"),
+        }
+    }
+
+    fn recover_job(store: &mut SessionStore, session: u64, epoch: u64) -> RecoverJob {
+        let msg = Message::RecoverEpoch { session, epoch, k: 1 };
+        let policy = RecoveryPolicy::default();
+        match store.dispatch(&mut ConnState::new(), &msg, &policy, &mut StoreStats::new()) {
+            Dispatch::Recover(job) => job,
+            Dispatch::Reply(reply, _) => panic!("expected a recover job, got {reply:?}"),
+        }
+    }
+
+    /// A report's mode and outliers as raw bits.
+    fn report_bits(reply: &Message) -> (u64, Vec<(u32, u64)>) {
+        match reply {
+            Message::Report { mode, outliers, .. } => {
+                (mode.to_bits(), outliers.iter().map(|&(i, v)| (i, v.to_bits())).collect())
+            }
+            other => panic!("expected report, got {other:?}"),
+        }
+    }
+
+    /// What a recovery of `y` reports with `Φ0` rebuilt from scratch.
+    fn uncached_report(spec: &MeasurementSpec, y: &Vector) -> Message {
+        let config = RecoveryPolicy::default().effective(spec.m, spec.seed, 1);
+        let r = bomp_with_matrix(&spec.materialize(), y, &config).expect("recovers");
+        let outliers = r.top_k(1).iter().map(|o| (o.index as u32, o.value)).collect();
+        Message::Report { epoch: 0, mode: r.mode, outliers }
+    }
+
+    /// The dense cache is keyed by the full spec: recovering spec A, then
+    /// B, then A again swaps the entry each time and every report carries
+    /// the bits of a cache-less recovery.
+    #[test]
+    fn dense_cache_recovers_a_then_b_then_a_bit_identically() {
+        let a = MeasurementSpec::new(24, 96, 7).unwrap();
+        let b = MeasurementSpec::new(24, 96, 8).unwrap();
+        let mut store = SessionStore::new();
+        let ya = sealed_dense_epoch(&mut store, 1, 0, &a);
+        let yb = sealed_dense_epoch(&mut store, 1, 1, &b);
+        assert_eq!(store.dense.cached_spec(), None, "nothing materializes before a recovery");
+        for (epoch, spec, y) in [(0, &a, &ya), (1, &b, &yb), (0, &a, &ya)] {
+            let (reply, _) = recover_job(&mut store, 1, epoch).run();
+            assert_eq!(report_bits(&reply), report_bits(&uncached_report(spec, y)));
+            assert_eq!(report_bits(&reply).1[0].0, 17, "the planted outlier");
+            assert_eq!(store.dense.cached_spec(), Some(*spec));
+        }
+        assert!(Arc::ptr_eq(&store.dense.matrix(&a), &store.dense.matrix(&a)), "a hit is shared");
+    }
+
+    /// A server keeps one `Φ0`, not one per shard: the shards of one
+    /// split share the cache, and a recovery on one shard hits the entry
+    /// another shard's recovery built.
+    #[test]
+    fn split_shards_share_one_dense_cache_entry() {
+        let spec = MeasurementSpec::new(M as usize, N as usize, SEED).unwrap();
+        let mut shards = SessionStore::new().split_by_session(4);
+        let y1 = sealed_dense_epoch(&mut shards[1], 1, 0, &spec);
+        let y2 = sealed_dense_epoch(&mut shards[2], 2, 0, &spec);
+        let (first, _) = recover_job(&mut shards[1], 1, 0).run();
+        assert_eq!(report_bits(&first), report_bits(&uncached_report(&spec, &y1)));
+        for shard in &shards {
+            assert!(Arc::ptr_eq(&shard.dense, &shards[0].dense));
+        }
+        let built = shards[1].dense.matrix(&spec);
+        let (second, _) = recover_job(&mut shards[2], 2, 0).run();
+        assert_eq!(report_bits(&second), report_bits(&uncached_report(&spec, &y2)));
+        assert!(Arc::ptr_eq(&built, &shards[2].dense.matrix(&spec)), "shard 2 rebuilt Φ0");
+    }
+
+    /// Snapshot bodies are allocated once at their final size, for every
+    /// epoch state the serializer writes, and the merged view of a split
+    /// store stays byte-identical to the unsplit one.
+    #[test]
+    fn snapshot_bodies_have_no_growth_slack() {
+        let mut fx = Fixture::new();
+        for session in 1..=3u64 {
+            for epoch in 0..2u64 {
+                let (m, n, seed) = (M, N, SEED);
+                let open =
+                    Message::OpenEpoch { session, epoch, m, n, seed, op_kind: 0, op_param: 0 };
+                fx.send(&open);
+                fx.send(&sketch_msg(epoch as u32, SEED));
+                fx.send(&sketch_msg(epoch as u32 + 5, SEED));
+            }
+        }
+        let manifest = Message::RelayManifest {
+            session: 3,
+            epoch: 1,
+            region: 1,
+            leaf_lo: 4,
+            leaf_hi: 8,
+            fan_in: 4,
+        };
+        assert!(matches!(fx.send(&manifest), Message::Ack { .. }));
+        let pad = fx.store.pad_for(2, 1).expect("pad");
+        let payload = quantize::encode(&Vector::filled(M as usize, 2.5), SketchEncoding::F64);
+        assert!(matches!(pad.ingest(9, SEED, &payload), PadIngest::Accepted(_)));
+        fx.send(&Message::SealEpoch { session: 1, epoch: 0 });
+        fx.send(&Message::RecoverEpoch { session: 1, epoch: 0, k: 1 });
+        fx.send(&Message::SealEpoch { session: 2, epoch: 0 });
+        fx.store.pause_and_drain_pads();
+
+        let whole = fx.store.snapshot_bytes();
+        assert_eq!(whole.capacity(), whole.len());
+        let shards = std::mem::take(&mut fx.store).split_by_session(2);
+        let refs: Vec<&SessionStore> = shards.iter().collect();
+        let merged = SessionStore::merged_snapshot_bytes(&refs);
+        assert_eq!(merged, whole);
+        assert_eq!(merged.capacity(), merged.len(), "merged snapshot has growth slack");
+    }
+
+    /// Runs `(session, epoch)` the way a relay does — open, one sketch,
+    /// seal, upstream ack — and returns the open's reply.
+    fn relay_epoch(fx: &mut Fixture, session: u64, epoch: u64, forward: bool) -> Message {
+        let open =
+            Message::OpenEpoch { session, epoch, m: M, n: N, seed: SEED, op_kind: 0, op_param: 0 };
+        let reply = fx.send(&open);
+        if matches!(reply, Message::Ack { .. }) {
+            fx.send(&sketch_msg(0, SEED));
+            fx.send(&Message::SealEpoch { session, epoch });
+            if forward {
+                assert!(fx.store.mark_forwarded(session, epoch));
+            }
+        }
+        reply
+    }
+
+    /// A relay's epochs end sealed and forwarded, never recovered. They
+    /// are finished work all the same: a long session keeps opening epochs
+    /// past the per-session cap, and a session of forwarded epochs is
+    /// evicted to admit a new one. A sealed epoch still awaiting its
+    /// upstream ack is never evicted.
+    #[test]
+    fn forwarded_epochs_and_sessions_are_evicted() {
+        let limits = StoreLimits { max_sessions: 2, ..Default::default() };
+        let cap = limits.max_epochs_per_session as u64;
+        let mut fx = Fixture::new();
+        fx.store = SessionStore::with_limits(limits);
+        for epoch in 0..cap + 6 {
+            let reply = relay_epoch(&mut fx, 1, epoch, true);
+            assert_eq!(reply, Message::Ack { of: TAG_OPEN_EPOCH, info: 0 }, "epoch {epoch}");
+        }
+        assert_eq!(fx.store.epoch_count(), cap as usize);
+        assert_eq!(fx.store.epoch_phase(1, 5), None, "forwarded epoch was evicted");
+
+        for epoch in 0..cap {
+            relay_epoch(&mut fx, 2, epoch, false);
+        }
+        assert_eq!(code_of(&relay_epoch(&mut fx, 2, cap, false)), RejectCode::StoreFull);
+        assert!(fx.store.mark_forwarded(2, 0));
+        assert!(matches!(relay_epoch(&mut fx, 2, cap, false), Message::Ack { .. }));
+        assert_eq!(fx.store.epoch_phase(2, 0), None);
+
+        // Session 3 is past `max_sessions`: session 1 (all forwarded)
+        // makes room; session 2 (unforwarded epochs) stays.
+        assert!(matches!(relay_epoch(&mut fx, 3, 0, true), Message::Ack { .. }));
+        assert_eq!(fx.store.session_count(), 2);
+        assert_eq!(fx.store.epoch_phase(1, cap + 5), None, "finished session was evicted");
+        assert_eq!(fx.store.epoch_phase(2, 1), Some(EpochPhase::Sealed));
+    }
+
+    /// NaN and ±Inf entries, under every encoding, are typed `BadSketch`
+    /// rejects on the lock-free pad and on the locked path alike, and
+    /// never reach the measurement: the epoch recovers the bits of its
+    /// clean nodes alone.
+    #[test]
+    fn non_finite_sketches_are_rejected_on_both_ingest_paths() {
+        let m = M as usize;
+        let with = |v: f64| {
+            let mut vals = vec![1.0; m];
+            vals[3] = v;
+            vals
+        };
+        let hostile = [
+            EncodedSketch::F64(with(f64::NAN)),
+            EncodedSketch::F64(with(f64::INFINITY)),
+            EncodedSketch::F32(with(f64::NAN).iter().map(|&v| v as f32).collect()),
+            EncodedSketch::F32(with(f64::NEG_INFINITY).iter().map(|&v| v as f32).collect()),
+            EncodedSketch::Fixed16 { values: vec![1; m], scale: f64::INFINITY },
+            EncodedSketch::Fixed16 { values: vec![0; m], scale: f64::NAN },
+        ];
+        let recover = Message::RecoverEpoch { session: 1, epoch: 0, k: 2 };
+        let mut clean_only = Fixture::new();
+        clean_only.send(&open_msg());
+        for node in 0..3 {
+            clean_only.send(&sketch_msg(node, SEED));
+        }
+        clean_only.send(&Message::SealEpoch { session: 1, epoch: 0 });
+        let expected = report_bits(&clean_only.send(&recover));
+
+        for with_pad in [false, true] {
+            let mut fx = Fixture::new();
+            fx.send(&open_msg());
+            let pad = with_pad.then(|| fx.store.pad_for(1, 0).expect("pad"));
+            for node in 0..3 {
+                assert_eq!(
+                    fx.send(&sketch_msg(node, SEED)),
+                    Message::Ack { of: TAG_SKETCH, info: 0 }
+                );
+            }
+            for (i, payload) in hostile.iter().enumerate() {
+                let node = 10 + i as u32;
+                if let Some(pad) = &pad {
+                    assert!(matches!(pad.ingest(node, SEED, payload), PadIngest::BadSketch), "{i}");
+                }
+                let msg = Message::Sketch { node, seed: SEED, payload: payload.clone() };
+                assert_eq!(code_of(&fx.send(&msg)), RejectCode::BadSketch, "sketch {i}");
+            }
+            drop(pad);
+            assert_eq!(
+                fx.send(&Message::SealEpoch { session: 1, epoch: 0 }),
+                Message::Ack { of: TAG_SEAL_EPOCH, info: 3 }
+            );
+            assert_eq!(report_bits(&fx.send(&recover)), expected, "with_pad = {with_pad}");
+        }
     }
 }

@@ -853,17 +853,16 @@ impl Wal {
             return;
         }
         self.records_since_snapshot = 0;
-        let mut out = Vec::with_capacity(20 + body.len());
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        put_u32(&mut out, WAL_VERSION);
-        put_u32(&mut out, wire::crc32(body));
-        put_u64(&mut out, body.len() as u64);
-        out.extend_from_slice(body);
+        // The header is written ahead of the body rather than copied into
+        // one buffer with it: the body can be megabytes, and a second copy
+        // would double the snapshot's heap footprint for no on-disk change.
+        let header = snapshot_header(body);
         let path = snapshot_path(&self.cfg.dir, self.seg_seq);
         let tmp = path.with_extension("tmp");
         let written = (|| -> io::Result<()> {
             let mut f = File::create(&tmp)?;
-            f.write_all(&out)?;
+            f.write_all(&header)?;
+            f.write_all(body)?;
             f.sync_all()?;
             fs::rename(&tmp, &path)?;
             Ok(())
@@ -897,6 +896,17 @@ impl Wal {
         // ignores files below the newest snapshot's seq) — best effort.
         let _ = sync_dir(&self.cfg.dir);
     }
+}
+
+/// A snapshot file's 24-byte header: magic ‖ version ‖ CRC32(body) ‖
+/// body length, all little-endian; the body follows it.
+fn snapshot_header(body: &[u8]) -> [u8; 24] {
+    let mut h = [0u8; 24];
+    h[..8].copy_from_slice(SNAPSHOT_MAGIC);
+    h[8..12].copy_from_slice(&WAL_VERSION.to_le_bytes());
+    h[12..16].copy_from_slice(&wire::crc32(body).to_le_bytes());
+    h[16..].copy_from_slice(&(body.len() as u64).to_le_bytes());
+    h
 }
 
 fn open_segment(dir: &Path, seq: u64) -> Result<File, WalError> {
@@ -1445,6 +1455,37 @@ mod tests {
         assert!(report.snapshot_loaded);
         assert!(report.clean_shutdown);
         assert_eq!(rebuilt.snapshot_bytes(), store.snapshot_bytes(), "bit-identical");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The snapshot file is the 24-byte header followed by the body,
+    /// written without being copied into one buffer first:
+    /// magic ‖ version ‖ CRC32(body) ‖ len ‖ body.
+    #[test]
+    fn snapshot_file_is_header_then_body() {
+        let dir = temp_dir("snapfile");
+        let mut stats = StoreStats::new();
+        let mut wal = Wal::open(&Durability::at(&dir)).expect("open");
+        let mut store = SessionStore::new();
+        for r in &sample_records()[..3] {
+            r.replay(&mut store).expect("mirror replay");
+            wal.append(r, &mut stats);
+        }
+        let body = store.snapshot_bytes();
+        wal.snapshot(&body, &mut stats);
+        assert!(!wal.failed());
+        let on_disk = fs::read(snapshot_path(&dir, wal.seg_seq)).expect("snapshot file");
+        let mut expected = SNAPSHOT_MAGIC.to_vec();
+        expected.extend_from_slice(&WAL_VERSION.to_le_bytes());
+        expected.extend_from_slice(&wire::crc32(&body).to_le_bytes());
+        expected.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        expected.extend_from_slice(&body);
+        assert_eq!(on_disk, expected);
+        drop(wal);
+        let (rebuilt, report) =
+            SessionStore::recover_from(&dir, StoreLimits::default()).expect("recover");
+        assert!(report.snapshot_loaded);
+        assert_eq!(rebuilt.snapshot_bytes(), body);
         let _ = fs::remove_dir_all(&dir);
     }
 }
